@@ -14,23 +14,37 @@ Section 5.4:
 * the database shapes are obtained through a pluggable ``shape_source`` —
   either directly from a :class:`~repro.core.instances.Database`, or from the
   storage substrate's in-memory / in-database ``FindShapes`` implementations;
-* an index from predicates to TGDs provides fast access to the rules that can
-  consume a newly derived shape;
+* an index from body ``(predicate name, arity)`` to TGDs provides fast access
+  to the rules that can consume a newly derived shape;
 * at each iteration only the *new* shapes (``ΔS``) are processed — because the
   TGDs are linear, a TGD applicable on an old shape was already applied in a
   previous iteration.
+
+``Applicable(Ŝ, Σ)`` runs on identifier tuples.  Whether a rule applies to
+a shape, and how its body variables collapse, depends only on the body
+atom's ``id(x̄)`` and the shape's identifiers
+(:func:`~repro.simplification.specialization.specialization_pattern`).  Many
+rules share a body atom, so one fixpoint run memoizes that answer per pair
+of identifier tuples; most pairs are rejected, and a repeated rejection
+costs one dictionary lookup.  The run also builds each shape predicate and
+its :class:`Shape` once, and reads the head shapes of a new rule from that
+table instead of parsing predicate names.  All of this state lives for one
+call of :func:`applicable`, :func:`dynamic_simplification` or
+:func:`resume_dynamic_simplification`: the index belongs to that call's
+rules, and a cache that outlived it would keep every shape predicate of
+every rule set ever checked alive in a long sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.predicates import Predicate
 from ..core.tgds import TGD, TGDSet
-from .shapes import Shape, resolve_shapes
-from .specialization import h_specialization
-from .static import simplify_tgd_with
+from .shapes import Shape, identifier_tuple, resolve_shapes
+from .specialization import pattern_images, specialization_pattern
+from .static import ShapePredicates, simplify_tgd_with
 
 
 @dataclass
@@ -55,7 +69,57 @@ class DynamicSimplificationResult:
     iterations: int
 
 
-def applicable(shapes: Iterable[Shape], tgds: TGDSet, index: Optional[Dict[Predicate, List[TGD]]] = None) -> TGDSet:
+#: An identifier tuple, or a position pattern over one.
+Ids = Tuple[int, ...]
+
+#: Marks a pattern not yet computed (``None`` is a computed "not applicable").
+_UNSEEN = object()
+
+
+class _Applicable:
+    """``Applicable(Ŝ, Σ)`` with the state one call of Algorithm 2 keeps.
+
+    Built once per :func:`applicable` call or fixpoint run, it holds:
+
+    * the rules indexed by body ``(predicate name, arity)``, each with its
+      body identifier tuple ``id(x̄)``;
+    * the ``h``-specialization pattern per ``(id(x̄), shape identifiers)``
+      pair — many rules share a body atom, and a pattern depends on the two
+      identifier tuples only;
+    * the :class:`ShapePredicates` the simplified rules are built from,
+      whose ``shapes`` give the head shapes of a new rule.
+
+    Nothing here outlives the call (see the module docstring).
+    """
+
+    __slots__ = ("_rules", "_patterns", "shape_predicates")
+
+    def __init__(self, tgds: TGDSet):
+        self._rules: Dict[Tuple[str, int], List[Tuple[TGD, Ids]]] = {}
+        for tgd in tgds:
+            body_atom = tgd.body_atom()
+            key = (body_atom.predicate.name, body_atom.arity)
+            self._rules.setdefault(key, []).append((tgd, identifier_tuple(body_atom.terms)))
+        self._patterns: Dict[Tuple[Ids, Ids], Optional[Ids]] = {}
+        self.shape_predicates = ShapePredicates()
+
+    def __call__(self, shapes: Iterable[Shape]) -> Iterator[TGD]:
+        """Yield the simplified TGDs whose body shape is one of *shapes*."""
+        patterns = self._patterns
+        for shape in shapes:
+            shape_ids = shape.identifiers
+            for tgd, body_ids in self._rules.get((shape.predicate_name, len(shape_ids)), ()):
+                key = (body_ids, shape_ids)
+                pattern = patterns.get(key, _UNSEEN)
+                if pattern is _UNSEEN:
+                    pattern = patterns[key] = specialization_pattern(body_ids, shape_ids)
+                if pattern is None:
+                    continue
+                images = pattern_images(tgd.body[0].terms, pattern)
+                yield simplify_tgd_with(tgd, images, self.shape_predicates)
+
+
+def applicable(shapes: Iterable[Shape], tgds: TGDSet) -> TGDSet:
     """``Applicable(Ŝ, Σ)``: simplified TGDs whose body shape belongs to *shapes*.
 
     For every linear TGD ``σ`` with body predicate ``R`` and every shape of
@@ -64,33 +128,15 @@ def applicable(shapes: Iterable[Shape], tgds: TGDSet, index: Optional[Dict[Predi
     induces one simplification of ``σ``.
     """
     tgds.require_linear()
-    if index is None:
-        index = tgds.by_body_predicate()
-    by_name: Dict[str, List[TGD]] = {}
-    for predicate, rules in index.items():
-        by_name.setdefault(predicate.name, []).extend(rules)
-
-    result = TGDSet()
-    for shape in shapes:
-        for tgd in by_name.get(shape.predicate_name, ()):
-            body_atom = tgd.body_atom()
-            if body_atom.arity != shape.arity:
-                continue
-            specialization = h_specialization(body_atom, shape)
-            if specialization is None:
-                continue
-            result.add(simplify_tgd_with(tgd, specialization))
-    return result
+    return TGDSet(_Applicable(tgds)(shapes))
 
 
 def head_shapes(tgds: Iterable[TGD]) -> Set[Shape]:
     """Return the shapes occurring (as predicates) in the heads of simplified TGDs.
 
-    Simplified TGDs use shape predicates of the form ``R__1_2_1``; this
-    helper recovers the :class:`Shape` objects from the *original* atoms'
-    structure: since the head atoms of a simplified TGD are already
-    simplified (no repeated terms), the shape is re-read from the predicate
-    name suffix.
+    Simplified TGDs use shape predicates of the form ``R__1_2_1``; each head
+    predicate is parsed back into its :class:`Shape` by
+    :func:`shape_from_simplified_predicate`.
     """
     result: Set[Shape] = set()
     for tgd in tgds:
@@ -103,13 +149,22 @@ def shape_from_simplified_predicate(predicate: Predicate) -> Shape:
     """Invert :meth:`Shape.as_predicate`: recover the shape from ``R__1_2_1``.
 
     The simplified predicate of a nullary shape is ``R__`` (empty suffix,
-    empty identifier tuple).
+    empty identifier tuple).  Raises ``ValueError`` unless *predicate* is
+    exactly ``shape.as_predicate()`` for the returned shape: the arity must
+    be the number of distinct identifiers, and every identifier must be
+    written as ``as_predicate`` writes it (no sign, padding or blank).
     """
     name, separator, suffix = predicate.name.rpartition("__")
-    if not separator:
+    if not separator or not name:
         raise ValueError(f"{predicate.name!r} is not a simplified (shape) predicate name")
-    identifiers = tuple(int(token) for token in suffix.split("_")) if suffix else ()
-    return Shape(name, identifiers)
+    try:
+        identifiers = tuple(int(token) for token in suffix.split("_")) if suffix else ()
+        shape = Shape(name, identifiers)
+    except ValueError:
+        shape = None
+    if shape is None or shape.as_predicate() != predicate:
+        raise ValueError(f"{predicate} is not the predicate of a shape")
+    return shape
 
 
 def dynamic_simplification(
@@ -130,11 +185,10 @@ def dynamic_simplification(
     """
     tgds.require_linear()
     initial_shapes = resolve_shapes(database_or_shapes)
-    index = tgds.by_body_predicate() if len(tgds) else {}
 
     known_shapes: Set[Shape] = set(initial_shapes)
     simplified = TGDSet()
-    iterations = _fixpoint(set(initial_shapes), known_shapes, simplified, tgds, index)
+    iterations = _fixpoint(set(initial_shapes), known_shapes, simplified, tgds)
 
     return DynamicSimplificationResult(
         tgds=simplified,
@@ -167,13 +221,12 @@ def resume_dynamic_simplification(
     """
     tgds.require_linear()
     new_shapes = resolve_shapes(database_or_shapes)
-    index = tgds.by_body_predicate() if len(tgds) else {}
 
     known_shapes: Set[Shape] = set(previous.derived_shapes)
     simplified = TGDSet(previous.tgds)
     delta = new_shapes - known_shapes
     known_shapes |= delta
-    iterations = _fixpoint(delta, known_shapes, simplified, tgds, index)
+    iterations = _fixpoint(delta, known_shapes, simplified, tgds)
 
     return DynamicSimplificationResult(
         tgds=simplified,
@@ -188,19 +241,21 @@ def _fixpoint(
     known_shapes: Set[Shape],
     simplified: TGDSet,
     tgds: TGDSet,
-    index: Dict[Predicate, List[TGD]],
 ) -> int:
     """Run Algorithm 2's while loop in place; return the iteration count.
 
     *known_shapes* and *simplified* are mutated; *delta* is the seed frontier
     (shapes not yet processed by ``Applicable``).
     """
+    step = _Applicable(tgds)
+    shape_of = step.shape_predicates.shapes
     iterations = 0
     while delta:
         iterations += 1
-        new_rules = applicable(delta, tgds, index=index)
-        newly_added = [rule for rule in new_rules if simplified.add(rule)]
-        produced = head_shapes(newly_added)
+        produced: Set[Shape] = set()
+        for rule in step(delta):
+            if simplified.add(rule):
+                produced.update(shape_of[atom.predicate] for atom in rule.head)
         delta = produced - known_shapes
         known_shapes |= delta
     return iterations

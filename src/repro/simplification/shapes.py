@@ -17,13 +17,12 @@ body shape is derivable are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.instances import Database, Instance
 from ..core.predicates import Predicate, Schema
-from ..core.terms import Constant, Term
+from ..core.terms import Constant
 
 
 def unique_tuple(terms: Sequence) -> Tuple:
@@ -74,6 +73,9 @@ class Shape:
     identifiers: Tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.identifiers, tuple):
+            # A list would pass the checks below and then fail to hash.
+            raise TypeError(f"shape identifiers must be a tuple, got {self.identifiers!r}")
         if not is_identifier_tuple(self.identifiers):
             raise ValueError(f"{self.identifiers!r} is not a valid identifier tuple")
 

@@ -10,7 +10,10 @@ of ``[n]`` (Bell(n) many).
 
 The *h-specialization* (Section 4.2) is the unique specialization induced by
 a homomorphism ``h`` from the body atom to a canonical shape atom: two
-variables collapse exactly when ``h`` sends them to the same value.
+variables collapse exactly when ``h`` sends them to the same value.  It is
+computed on identifier tuples (:func:`specialization_pattern`): the body
+atom's ``id(x̄)`` and the shape's identifiers decide it, the variables' names
+do not.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
-from ..core.substitutions import match_atom
-from ..core.terms import Term, Variable
-from .shapes import Shape
+from ..core.terms import Variable
+from .shapes import Shape, identifier_tuple
 
 
 class Specialization:
@@ -57,6 +59,14 @@ class Specialization:
     def __call__(self, variable: Variable) -> Variable:
         return self._mapping.get(variable, variable)
 
+    def get(self, variable: Variable, default=None):
+        """Dict-style lookup: ``f(variable)``, or *default* outside the mapping.
+
+        It lets a specialization stand wherever a plain ``{variable: image}``
+        dict is accepted (:func:`~repro.simplification.static.simplify_tgd_with`).
+        """
+        return self._mapping.get(variable, default)
+
     def __eq__(self, other):
         if not isinstance(other, Specialization):
             return NotImplemented
@@ -85,10 +95,6 @@ class Specialization:
     def apply_to_atom(self, atom: Atom) -> Atom:
         """Apply the specialization to an atom (non-tuple variables stay put)."""
         return Atom(atom.predicate, tuple(self(t) if isinstance(t, Variable) else t for t in atom.terms))
-
-    def apply_to_atoms(self, atoms: Sequence[Atom]) -> Tuple[Atom, ...]:
-        """Apply the specialization to a sequence of atoms."""
-        return tuple(self.apply_to_atom(atom) for atom in atoms)
 
 
 def identity_specialization(variables: Sequence[Variable]) -> Specialization:
@@ -129,6 +135,39 @@ def enumerate_specializations(variables: Sequence[Variable]) -> Iterator[Special
     yield from _extend(0, {}, [])
 
 
+def specialization_pattern(
+    body_ids: Tuple[int, ...], shape_ids: Tuple[int, ...]
+) -> Optional[Tuple[int, ...]]:
+    """Return the ``h``-specialization of a body atom as a position pattern.
+
+    *body_ids* is ``id(x̄)`` of the body atom and *shape_ids* the identifier
+    tuple of a shape of the same arity.  The homomorphism ``h`` sends the
+    variable at position ``i`` to the shape's ``i``-th identifier; it exists
+    exactly when positions holding the same variable carry the same
+    identifier.  The result gives, for every position ``i``, the first
+    (0-based) position whose identifier equals the ``i``-th one: the variable
+    there is ``f(x_i)``.  Returns ``None`` when ``h`` does not exist.
+
+    The answer depends on the two identifier tuples only, so callers that
+    meet the same pair again (many rules share a body atom) can memoize it.
+    """
+    image_of_body_id: Dict[int, int] = {}
+    first_position: Dict[int, int] = {}
+    pattern = []
+    for position, (body_id, shape_id) in enumerate(zip(body_ids, shape_ids)):
+        if image_of_body_id.setdefault(body_id, shape_id) != shape_id:
+            return None
+        pattern.append(first_position.setdefault(shape_id, position))
+    return tuple(pattern)
+
+
+def pattern_images(
+    variables: Sequence[Variable], pattern: Tuple[int, ...]
+) -> Dict[Variable, Variable]:
+    """Return the images ``{variables[i]: variables[pattern[i]]}`` a pattern prescribes."""
+    return {variable: variables[image] for variable, image in zip(variables, pattern)}
+
+
 def h_specialization(body_atom: Atom, shape: Shape) -> Optional[Specialization]:
     """Return the ``h``-specialization of the body variables w.r.t. *shape*.
 
@@ -136,20 +175,15 @@ def h_specialization(body_atom: Atom, shape: Shape) -> Optional[Specialization]:
     when it exists; the induced specialization maps ``xi`` and ``xj`` to the
     same (earliest) variable exactly when ``h(xi) = h(xj)``.  Returns ``None``
     when no homomorphism exists (the body atom repeats a variable across
-    positions the shape declares distinct).
+    positions the shape declares distinct).  The body atom must mention
+    variables only, as TGD bodies do.
     """
     if shape.predicate_name != body_atom.predicate.name or shape.arity != body_atom.arity:
         return None
-    target = shape.canonical_atom()
-    assignment = match_atom(body_atom, target, None)
-    if assignment is None:
+    terms = body_atom.terms
+    if not all(isinstance(term, Variable) for term in terms):
+        raise ValueError(f"h-specialization needs a variable-only body atom, got {body_atom}")
+    pattern = specialization_pattern(identifier_tuple(terms), shape.identifiers)
+    if pattern is None:
         return None
-    first_variable_for_image: Dict[Term, Variable] = {}
-    mapping: Dict[Variable, Variable] = {}
-    for term in body_atom.terms:
-        if not isinstance(term, Variable):  # pragma: no cover - TGD bodies are variable-only
-            continue
-        image = assignment[term]
-        representative = first_variable_for_image.setdefault(image, term)
-        mapping[term] = representative
-    return Specialization(body_atom.terms, mapping)
+    return Specialization(terms, pattern_images(terms, pattern))

@@ -3,15 +3,17 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.core.instances import Database
 from repro.core.parser import parse_database, parse_rules
 from repro.core.predicates import Predicate
 from repro.simplification.dynamic import (
     applicable,
     dynamic_simplification,
     head_shapes,
+    resume_dynamic_simplification,
     shape_from_simplified_predicate,
 )
-from repro.simplification.shapes import Shape, shapes_of_database
+from repro.simplification.shapes import Shape, shapes_of_database, shapes_of_predicate
 from repro.simplification.static import static_simplification
 from tests.helpers import databases, linear_tgd_sets
 
@@ -43,6 +45,31 @@ class TestShapeNameRoundTrip:
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError):
             shape_from_simplified_predicate(Predicate("R", 2))
+
+    def test_round_trip_over_every_shape_up_to_arity_4(self):
+        for arity in range(5):
+            for shape in shapes_of_predicate(Predicate("R", arity)):
+                assert shape_from_simplified_predicate(shape.as_predicate()) == shape
+
+    @pytest.mark.parametrize(
+        "name, arity",
+        [
+            ("R__1_2", 1),  # arity is not the number of distinct identifiers
+            ("R__1_1", 2),
+            ("R__", 1),
+            ("R__01", 1),  # identifiers are written without padding, sign or blanks
+            ("R__+1", 1),
+            ("R__ 1", 1),
+            ("R__1__2", 1),
+            ("R__1_", 1),
+            ("R__x", 1),
+            ("R__2_1", 2),  # not a restricted growth string
+            ("__1", 1),  # no base predicate name
+        ],
+    )
+    def test_only_exact_shape_predicates_are_inverted(self, name, arity):
+        with pytest.raises(ValueError):
+            shape_from_simplified_predicate(Predicate(name, arity))
 
     def test_head_shapes(self):
         rules = parse_rules("R(x,y) -> S(x,y)")
@@ -87,10 +114,11 @@ class TestDynamicSimplification:
 
     @given(databases(max_size=4), linear_tgd_sets(simple=False, max_size=3))
     @settings(max_examples=25)
-    def test_dynamic_is_a_subset_of_static(self, database, tgds):
+    def test_dynamic_equals_the_derivable_part_of_static(self, database, tgds):
         dynamic = dynamic_simplification(database, tgds)
-        static = static_simplification(tgds)
-        assert set(dynamic.tgds) <= set(static)
+        rules, shapes = _derivable_static_rules(database, tgds)
+        assert set(dynamic.tgds) == rules
+        assert dynamic.derived_shapes == shapes
 
     @given(databases(max_size=4), linear_tgd_sets(simple=False, max_size=3))
     @settings(max_examples=25)
@@ -106,6 +134,74 @@ class TestDynamicSimplification:
         for rule in result.tgds:
             body_shape = shape_from_simplified_predicate(rule.body[0].predicate)
             assert body_shape in result.derived_shapes
+
+
+def _derivable_static_rules(database, tgds):
+    """Reference ``simple_D(Σ)``: the rules of ``simple(Σ)`` with a derivable body shape.
+
+    Starts from ``shape(D)`` and keeps adding the head shapes of every rule
+    of the static simplification whose body shape is already known, until
+    nothing changes.  Returns the kept rules and the derived shapes.
+    """
+    static = static_simplification(tgds)
+    shapes = shapes_of_database(database)
+    while True:
+        rules = {
+            rule
+            for rule in static
+            if shape_from_simplified_predicate(rule.body[0].predicate) in shapes
+        }
+        grown = shapes | head_shapes(rules)
+        if grown == shapes:
+            return rules, shapes
+        shapes = grown
+
+
+class TestInsertionOrder:
+    """``simplified.tgds`` order, which the incremental checker extends by its tail."""
+
+    RULES = "R(x,y) -> S(y,z)\nS(x,y) -> T(x,x)\nR(x,x) -> U(x)\nU(x) -> S(x,x)\n"
+
+    def test_scratch_and_resumed_orders_are_pinned(self):
+        rules = parse_rules(self.RULES)
+        small = parse_database("R(a,b).")
+        large = parse_database("R(a,b).\nR(c,c).")
+        first = dynamic_simplification(small, rules)
+        assert [repr(rule) for rule in first.tgds] == [
+            "R__1_2(?x, ?y) -> S__1_2(?y, ?z)",
+            "S__1_2(?x, ?y) -> T__1_1(?x)",
+        ]
+        resumed = resume_dynamic_simplification(first, large, rules)
+        # Previous rules first; then per iteration, rules in input order.
+        assert [repr(rule) for rule in resumed.tgds] == [
+            "R__1_2(?x, ?y) -> S__1_2(?y, ?z)",
+            "S__1_2(?x, ?y) -> T__1_1(?x)",
+            "R__1_1(?x) -> S__1_2(?x, ?z)",
+            "R__1_1(?x) -> U__1(?x)",
+            "U__1(?x) -> S__1_1(?x)",
+            "S__1_1(?x) -> T__1_1(?x)",
+        ]
+        scratch = dynamic_simplification(large, rules)
+        assert scratch.tgds == resumed.tgds
+        assert resumed.iterations == 3
+
+    @given(databases(min_size=2, max_size=5), linear_tgd_sets(simple=False, max_size=3))
+    @settings(max_examples=25)
+    def test_resume_appends_exactly_the_new_rules(self, database, tgds):
+        atoms = list(database)
+        prefix = Database()
+        for atom in atoms[: len(atoms) // 2]:
+            prefix.add(atom)
+        first = dynamic_simplification(prefix, tgds)
+        resumed = resume_dynamic_simplification(first, database, tgds)
+        scratch = dynamic_simplification(database, tgds)
+        assert resumed.tgds.tgds[: len(first.tgds)] == first.tgds.tgds
+        tail = resumed.tgds.tgds[len(first.tgds):]
+        assert set(tail) == set(scratch.tgds) - set(first.tgds)
+        # Resuming with nothing new keeps the order and runs no iteration.
+        again = resume_dynamic_simplification(resumed, database, tgds)
+        assert again.tgds.tgds == resumed.tgds.tgds
+        assert again.iterations == 0
 
 
 class TestUnifiedShapeSourceResolution:

@@ -66,6 +66,12 @@ class TestShape:
         with pytest.raises(ValueError):
             Shape("R", (2, 1))
 
+    def test_non_tuple_identifiers_rejected(self):
+        # A list would otherwise validate and then fail the first time the
+        # shape is hashed.
+        with pytest.raises(TypeError):
+            Shape("R", [1, 2])
+
     def test_shape_of_atom(self):
         atom = Atom(Predicate("R", 3), (x, y, x))
         assert shape_of_atom(atom) == Shape("R", (1, 2, 1))

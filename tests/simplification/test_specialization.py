@@ -5,13 +5,15 @@ import pytest
 from repro.chase.bounds import bell_number
 from repro.core.atoms import Atom
 from repro.core.predicates import Predicate
-from repro.core.terms import Variable
-from repro.simplification.shapes import Shape
+from repro.core.substitutions import match_atom
+from repro.core.terms import Constant, Variable
+from repro.simplification.shapes import Shape, identifier_tuples_of_arity
 from repro.simplification.specialization import (
     Specialization,
     enumerate_specializations,
     h_specialization,
     identity_specialization,
+    specialization_pattern,
 )
 
 x, y, z, w = Variable("x"), Variable("y"), Variable("z"), Variable("w")
@@ -115,3 +117,53 @@ class TestHSpecialization:
         specializations = [s for s in specializations if s is not None]
         assert len(specializations) == bell_number(3)
         assert len(set(specializations)) == bell_number(3)
+
+    def test_constant_in_body_atom_is_rejected(self):
+        atom = Atom(Predicate("R", 2), (x, Constant("1")))
+        with pytest.raises(ValueError):
+            h_specialization(atom, Shape("R", (1, 2)))
+
+
+def _h_specialization_by_matching(body_atom, shape):
+    """The definition of Section 4.2, run literally: match ``R(x̄)`` onto ``R(id)``."""
+    if shape.predicate_name != body_atom.predicate.name or shape.arity != body_atom.arity:
+        return None
+    assignment = match_atom(body_atom, shape.canonical_atom(), None)
+    if assignment is None:
+        return None
+    first_variable_for_image = {}
+    mapping = {}
+    for term in body_atom.terms:
+        mapping[term] = first_variable_for_image.setdefault(assignment[term], term)
+    return Specialization(body_atom.terms, mapping)
+
+
+class TestHSpecializationAgainstMatching:
+    """The identifier-tuple ``h_specialization`` equals the homomorphism definition."""
+
+    VARIABLES = tuple(Variable(f"v{i}") for i in range(1, 6))
+
+    def test_every_body_pattern_against_every_shape_up_to_arity_5(self):
+        pairs = compatible = 0
+        for arity in range(6):
+            predicate = Predicate("R", arity)
+            for body_ids in identifier_tuples_of_arity(arity):
+                atom = Atom(predicate, tuple(self.VARIABLES[i - 1] for i in body_ids))
+                for shape_ids in identifier_tuples_of_arity(arity):
+                    shape = Shape("R", shape_ids)
+                    expected = _h_specialization_by_matching(atom, shape)
+                    actual = h_specialization(atom, shape)
+                    assert actual == expected, (atom, shape)
+                    if actual is not None:
+                        assert actual.images() == expected.images()
+                        compatible += 1
+                    pairs += 1
+        # sum of Bell(n)^2 for n = 0..5; Bell(5)^2 = 2,704 of them at arity 5
+        assert pairs == sum(bell_number(n) ** 2 for n in range(6)) == 2960
+        assert 0 < compatible < pairs
+
+    def test_pattern_names_the_first_position_of_each_image(self):
+        # R(x,y,x,z) onto R(1,1,1,2): y joins x's block, z opens a new one.
+        assert specialization_pattern((1, 2, 1, 3), (1, 1, 1, 2)) == (0, 0, 0, 3)
+        assert specialization_pattern((1, 1), (1, 2)) is None
+        assert specialization_pattern((), ()) == ()
