@@ -133,9 +133,9 @@ SERIAL_CONFIGS = (
 
 POOL_CONFIGS = (
     ("indexed", "instance", 2, "serial"),
-    ("indexed", "relational", 2, "thread"),
+    ("indexed", "relational", 2, "serial"),
     ("indexed", "sqlite", 2, "process"),
-    ("sql-pushdown", "sqlite", 2, "thread"),
+    ("sql-pushdown", "sqlite", 2, "serial"),
 )
 
 VARIANTS = ("oblivious", "semi-oblivious", "restricted")

@@ -444,8 +444,8 @@ def chase(
         (:func:`repro.chase.parallel.parallel_chase`), whose result is
         guaranteed identical to the serial one.
     executor:
-        Worker backend for ``workers > 1``: ``"auto"``, ``"serial"``,
-        ``"thread"``, or ``"process"`` (see :mod:`repro.chase.parallel`).
+        Worker backend for ``workers > 1``: ``"auto"``, ``"serial"``, or
+        ``"process"`` (see :mod:`repro.chase.parallel`).
     exchange:
         Round protocol for ``workers > 1``: ``"coordinator"`` (default)
         merges every round through the coordinator; ``"shuffle"`` lets

@@ -13,9 +13,9 @@ near-optimal parallel binary joins) distributes probe work:
   sharing a join key land on the same worker.  Round 0 does not ship seeds
   at all: each worker scans its own partition of every seed relation
   through ``AtomStore.atoms_partition``;
-* **workers** — threads sharing the coordinator's store for the in-memory
-  :class:`~repro.core.instances.Instance` backend, processes holding
-  per-worker store replicas for the
+* **workers** — in-process partition workers sharing the coordinator's
+  store for the in-memory :class:`~repro.core.instances.Instance` backend,
+  processes holding per-worker store replicas for the
   :class:`~repro.storage.database.RelationalDatabase` and
   :class:`~repro.storage.sqlbackend.SqliteAtomStore` backends (replicas
   receive each round's merged delta and stay in lock-step with the
@@ -28,11 +28,9 @@ near-optimal parallel binary joins) distributes probe work:
   receives only the relations the TGD set makes it responsible for
   (:func:`worker_seed_atoms`): relations joined by multi-atom bodies in
   full, single-atom-body relations only in the worker's own hash
-  partition, everything else not at all.  On GIL builds of CPython the
-  thread pool cannot speed up the pure-Python matching itself — it exists
-  for protocol coverage and for free-threaded/partially-native futures;
-  force ``executor="process"`` (works for any backend) when real
-  core-parallelism is wanted today;
+  partition, everything else not at all.  Force ``executor="process"``
+  (works for any backend) when real core-parallelism is wanted for the
+  in-memory backend;
 * **deterministic merge** — workers report the *firing keys* they
   considered and, per key, the trigger's result atoms.  Because firing
   keys, head atoms, and invented nulls are all functions of the key alone
@@ -52,8 +50,6 @@ import os
 import queue
 import threading
 import traceback
-from concurrent import futures
-from functools import partial
 from multiprocessing.connection import Connection, wait
 from typing import (
     AbstractSet,
@@ -98,7 +94,7 @@ from .result import ChaseLimits, ChaseResult
 from .triggers import Trigger
 
 #: Worker backends accepted by :func:`parallel_chase`.
-EXECUTORS = ("auto", "serial", "thread", "process")
+EXECUTORS = ("auto", "serial", "process")
 
 #: The match half of a worker's report: the firing keys it considered (new
 #: to it) and, for the keys that passed the variant's firing policy, the
@@ -166,11 +162,11 @@ class _PlanTable:
 class _MatchWorker:
     """Trigger matching over one partition of the round's work.
 
-    Runs inline (serial mode), on a pool thread against the shared store
-    (thread mode), or inside a worker process against a private replica
-    (process mode).  ``reported_keys`` caches the firing keys this worker
-    has already sent upstream so it never reports the same key twice; the
-    coordinator still performs the authoritative cross-worker dedup.
+    Runs inline against the coordinator's shared store (serial mode) or
+    inside a worker process against a private replica (process mode).
+    ``reported_keys`` caches the firing keys this worker has already sent
+    upstream so it never reports the same key twice; the coordinator still
+    performs the authoritative cross-worker dedup.
     """
 
     def __init__(
@@ -270,7 +266,7 @@ class _MatchWorker:
 
         *work_items* are ``(plan_id, delta_index)`` pairs; *apply_delta*
         is true in process mode, where the worker must first fold the
-        round's merged atoms into its private replica (thread workers share
+        round's merged atoms into its private replica (serial workers share
         the coordinator's store, which already holds them).
         """
         if apply_delta:
@@ -437,8 +433,8 @@ class _SerialPool:
 
     Used for ``workers == 1`` and for ``executor="serial"`` (any worker
     count) — the latter exercises the exact partitioning and merge protocol
-    of the concurrent pools without threads or processes, which is what the
-    determinism tests lean on.
+    of the process pool without processes, which is what the determinism
+    tests lean on.
     """
 
     def __init__(
@@ -475,57 +471,6 @@ class _SerialPool:
 
     def close(self) -> None:
         pass
-
-
-class _ThreadPool:
-    """Thread workers sharing the coordinator's store (in-memory backend).
-
-    Safe because rounds are phased: worker threads only *read* the store
-    while matching, and the coordinator adds the merged atoms strictly
-    between rounds.  Position indexes are pre-warmed before the first round
-    so no lazily-built index is constructed concurrently.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        tgds: Sequence[TGD],
-        variant: str,
-        store: AtomStore,
-        strategy: str = "indexed",
-        collect_metrics: bool = False,
-    ) -> None:
-        self.workers = workers
-        self._pool = futures.ThreadPoolExecutor(max_workers=workers)
-        self._match_workers = [
-            _make_match_worker(
-                strategy, worker_id, workers, tgds, variant, store, collect_metrics
-            )
-            for worker_id in range(workers)
-        ]
-        _warm_position_indexes(store, tgds)
-
-    def initial(self) -> List[RoundReport]:
-        submitted = [
-            self._pool.submit(worker.initial_round) for worker in self._match_workers
-        ]
-        return [future.result() for future in submitted]
-
-    def delta(
-        self,
-        delta_atoms: Sequence[Atom],
-        work_by_worker: Sequence[Sequence[Tuple[int, int]]],
-    ) -> List[RoundReport]:
-        submitted = [
-            self._pool.submit(
-                worker.delta_round, delta_atoms, work_by_worker[worker.worker_id], False
-            )
-            for worker in self._match_workers
-        ]
-        return [future.result() for future in submitted]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -632,26 +577,6 @@ SEED_CHUNK_ATOMS = 4096
 def _seed_chunks(atoms: Sequence[Atom]) -> Iterator[Tuple[Atom, ...]]:
     for start in range(0, len(atoms), SEED_CHUNK_ATOMS):
         yield tuple(atoms[start:start + SEED_CHUNK_ATOMS])
-
-
-#: A null that never occurs in any store: probing for it builds a
-#: predicate's position index without touching a real posting list.
-_INDEX_PROBE = Null("__index_probe__")
-
-
-def _warm_position_indexes(store: AtomStore, tgds: Sequence[TGD]) -> None:
-    """Force-build the position indexes the TGDs' predicates will need.
-
-    ``atoms_matching`` builds a predicate's index lazily on first use; doing
-    that once up front keeps worker threads from racing to build the same
-    index (harmless under the GIL, but wasteful) and keeps match latency
-    uniform across partitions.
-    """
-    predicates = set(store.predicates())
-    for tgd in tgds:
-        for atom in tgd.body + tgd.head:
-            if atom.predicate in predicates:
-                store.atoms_matching(atom.predicate, {0: _INDEX_PROBE})
 
 
 def _open_replica_store(store_spec: Tuple[str, ...], worker_id: int) -> AtomStore:
@@ -876,14 +801,12 @@ def _build_shuffle_worker(
 
 
 class _MemoryShufflePool:
-    """Serial or thread shuffle workers exchanging over shared memory.
+    """In-process shuffle workers exchanging over shared memory.
 
-    The exchange "channels" are plain in-process queues: each phase wave
-    returns one outbox per destination, and the pool hands every worker the
-    list of payloads addressed to it before the next wave.  Thread waves are
-    barriers, so workers only ever read the shared store while the
-    coordinator is quiescent — the same phasing discipline as
-    :class:`_ThreadPool`.
+    The exchange "channels" are plain in-process lists: each phase wave
+    runs every worker in turn and returns one outbox per destination, and
+    the pool hands every worker the list of payloads addressed to it before
+    the next wave.
     """
 
     def __init__(
@@ -894,12 +817,8 @@ class _MemoryShufflePool:
         store: AtomStore,
         strategy: str = "indexed",
         metrics: Optional[MetricsRegistry] = None,
-        use_threads: bool = False,
     ) -> None:
         self.workers = workers
-        self._pool = (
-            futures.ThreadPoolExecutor(max_workers=workers) if use_threads else None
-        )
         self._shuffle_workers = [
             _build_shuffle_worker(
                 strategy, worker_id, workers, tgds, variant, store,
@@ -909,14 +828,6 @@ class _MemoryShufflePool:
         ]
         for shuffle_worker in self._shuffle_workers:
             shuffle_worker.seed_owned_atoms(store)
-        if use_threads:
-            _warm_position_indexes(store, tgds)
-
-    def _wave(self, calls: Sequence[Callable[[], object]]) -> List[object]:
-        if self._pool is None:
-            return [call() for call in calls]
-        submitted = [self._pool.submit(call) for call in calls]
-        return [future.result() for future in submitted]
 
     @staticmethod
     def _gather(
@@ -928,43 +839,21 @@ class _MemoryShufflePool:
         self, round_index: int, heavy_routes: Tuple[HeavyRoute, ...]
     ) -> List[ShuffleReport]:
         workers = self._shuffle_workers
-        routed = cast(
-            List[List[List[object]]],
-            self._wave(
-                [partial(w.phase_route, round_index, heavy_routes) for w in workers]
-            ),
-        )
-        keyed = cast(
-            List[List[List[object]]],
-            self._wave(
-                [
-                    partial(w.phase_match, round_index, self._gather(routed, w.worker_id))
-                    for w in workers
-                ]
-            ),
-        )
-        atomed = cast(
-            List[List[List[object]]],
-            self._wave(
-                [
-                    partial(w.phase_keys, round_index, self._gather(keyed, w.worker_id))
-                    for w in workers
-                ]
-            ),
-        )
-        return cast(
-            List[ShuffleReport],
-            self._wave(
-                [
-                    partial(w.phase_atoms, round_index, self._gather(atomed, w.worker_id))
-                    for w in workers
-                ]
-            ),
-        )
+        routed = [w.phase_route(round_index, heavy_routes) for w in workers]
+        keyed = [
+            w.phase_match(round_index, self._gather(routed, w.worker_id))
+            for w in workers
+        ]
+        atomed = [
+            w.phase_keys(round_index, self._gather(keyed, w.worker_id)) for w in workers
+        ]
+        return [
+            w.phase_atoms(round_index, self._gather(atomed, w.worker_id))
+            for w in workers
+        ]
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+        pass
 
 
 class _PipeTransport:
@@ -1244,33 +1133,26 @@ class ParallelChaseExecutor:
 
         executor = self.executor
         if executor == "auto":
-            if self.workers == 1:
-                executor = "serial"
-            else:
-                # The sqlite3 module serializes access to a shared connection,
-                # so threads buy nothing there; processes with per-worker
-                # replicas give the store its own core like the relational
-                # backend.
-                executor = (
-                    "process"
-                    if isinstance(store, (RelationalDatabase, SqliteAtomStore))
-                    else "thread"
-                )
+            # Processes with per-worker replicas give the relational and
+            # sqlite stores their own cores; the in-memory store is matched
+            # in-process against the coordinator's own instance.
+            executor = (
+                "process"
+                if self.workers > 1
+                and isinstance(store, (RelationalDatabase, SqliteAtomStore))
+                else "serial"
+            )
         return executor
 
     def _make_pool(
         self, tgds: Sequence[TGD], store: AtomStore, collect_metrics: bool = False
-    ) -> Union["_SerialPool", "_ThreadPool", "_ProcessPool"]:
+    ) -> Union["_SerialPool", "_ProcessPool"]:
         from ..storage.database import RelationalDatabase
         from ..storage.sqlbackend import SqliteAtomStore
 
         executor = self._resolve_executor(store)
         if executor == "serial" or self.workers == 1:
             return _SerialPool(
-                self.workers, tgds, self.variant, store, self.strategy, collect_metrics
-            )
-        if executor == "thread":
-            return _ThreadPool(
                 self.workers, tgds, self.variant, store, self.strategy, collect_metrics
             )
         if isinstance(store, SqliteAtomStore) and store.is_persistent:
@@ -1323,11 +1205,10 @@ class ParallelChaseExecutor:
         from ..storage.sqlbackend import SqliteAtomStore
 
         executor = self._resolve_executor(store)
-        if executor in ("serial", "thread") or self.workers == 1:
+        if executor == "serial" or self.workers == 1:
             return _MemoryShufflePool(
                 self.workers, tgds, self.variant, store, self.strategy,
                 metrics=metrics,
-                use_threads=executor == "thread" and self.workers > 1,
             )
         collect_metrics = metrics is not None
         if isinstance(store, SqliteAtomStore) and store.is_persistent:
@@ -1429,7 +1310,7 @@ class ParallelChaseExecutor:
 
             if isinstance(store, SqliteAtomStore):
                 # Times the coordinator's own statements — and, under the
-                # shared-store pools, the thread workers' queries too.
+                # serial pool, the shared-store workers' queries too.
                 statement_metrics = StatementMetrics()
                 store.set_statement_metrics(statement_metrics)
         # Latest cumulative registry snapshot per process worker.
@@ -1837,11 +1718,12 @@ def parallel_chase(
         Number of partition workers (``1`` degenerates to an in-process
         run through the same partition/merge machinery).
     executor:
-        ``"auto"`` (default) picks threads for the in-memory backend and
-        processes with per-worker store replicas for the relational and
-        sqlite ones; ``"serial"`` / ``"thread"`` / ``"process"`` force a
-        pool kind.  Process replicas of a persistent sqlite store attach
-        the coordinator's file read-only instead of receiving a seed.
+        ``"auto"`` (default) runs the in-memory backend's workers
+        in-process against the coordinator's store and picks processes
+        with per-worker store replicas for the relational and sqlite ones;
+        ``"serial"`` / ``"process"`` force a pool kind.  Process replicas
+        of a persistent sqlite store attach the coordinator's file
+        read-only instead of receiving a seed.
     exchange:
         ``"coordinator"`` (default) round-trips every round's results
         through the coordinator merge; ``"shuffle"`` has workers

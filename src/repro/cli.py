@@ -62,7 +62,7 @@ from .chase.matching import STRATEGIES
 from .chase.exchange import EXCHANGES
 from .chase.parallel import EXECUTORS
 from .chase.result import ChaseLimits
-from .core.instances import Database, induced_database
+from .core.instances import induced_database
 from .core.parser import load_database, load_rules
 from .exceptions import ExperimentConfigError, ParseError, StorageError
 from .experiments import (
@@ -132,9 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=EXECUTORS,
         default="auto",
-        help="worker pool kind for --parallel > 1: threads for the instance "
-        "backend, processes with store replicas for the relational and "
-        "sqlite ones (default: auto)",
+        help="worker pool kind for --parallel > 1: in-process for the "
+        "instance backend, processes with store replicas for the relational "
+        "and sqlite ones (default: auto)",
     )
     chase_cmd.add_argument(
         "--exchange",

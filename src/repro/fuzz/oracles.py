@@ -21,7 +21,7 @@ program can surface several independent disagreements in a single run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..chase.engine import chase
 from ..chase.parallel import parallel_chase
@@ -88,17 +88,17 @@ SERIAL_COMBOS: Tuple[Combo, ...] = (
 POOL_PROFILES = {
     "quick": (
         PoolCombo(2, "serial"),
-        PoolCombo(3, "thread"),
-        PoolCombo(2, "thread", backend="sqlite"),
+        PoolCombo(3, "serial"),
+        PoolCombo(2, "serial", backend="sqlite"),
         PoolCombo(3, "serial", exchange="shuffle"),
     ),
     "full": (
         PoolCombo(2, "serial"),
-        PoolCombo(3, "thread"),
-        PoolCombo(2, "thread", backend="sqlite"),
+        PoolCombo(3, "serial"),
+        PoolCombo(2, "serial", backend="sqlite"),
         PoolCombo(2, "process"),
         PoolCombo(2, "process", backend="sqlite"),
-        PoolCombo(3, "thread", exchange="shuffle"),
+        PoolCombo(3, "serial", exchange="shuffle"),
         PoolCombo(2, "process", backend="sqlite", exchange="shuffle"),
     ),
 }

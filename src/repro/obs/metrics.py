@@ -9,8 +9,8 @@ constraints come from the parallel chase:
   and merges peer snapshots back in (:meth:`MetricsRegistry.merge_snapshot`).
 * **Deterministic iteration** — snapshots are sorted by ``(name, labels)``
   so traces and reports are byte-stable run to run.
-* **Thread safety** — under the thread pool several workers time statements
-  against one shared store; all mutation goes through the registry lock.
+* **Thread safety** — a registry is public API and may be shared by
+  caller threads; all mutation goes through the registry lock.
 
 :class:`StatementMetrics` is the thin adapter the sqlite store holds: it
 owns the clock, so the storage layer itself never reads wall time.
@@ -125,7 +125,7 @@ SQL_ROWS_READ = "sql_rows_read"
 class StatementMetrics:
     """Per-statement-family timing the sqlite store calls into.
 
-    The store's locked entry points (``query`` / ``bulk_apply``) bracket a
+    The store's statement entry points (``query`` / ``bulk_apply``) bracket a
     statement with ``started = metrics.start()`` … ``metrics.record(...)``;
     the adapter owns the clock, keeping wall-clock reads out of the storage
     layer entirely.  ``None`` instead of an adapter (the default) keeps the

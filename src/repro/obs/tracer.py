@@ -55,8 +55,8 @@ class Span:
 class Tracer:
     """Emits validated, origin-relative events to a sink.
 
-    Thread-safe: the sink write is serialised under a lock (thread-pool
-    workers and the coordinator may emit concurrently).  The first event is
+    Thread-safe: the sink write is serialised under a lock (a tracer is
+    public API, and caller threads may share one).  The first event is
     ``trace_start`` carrying the schema version.
     """
 

@@ -93,9 +93,6 @@ class CompiledBodyQuery:
         named: Dict[str, object] = dict(self.parameters)
         if delta_start is not None:
             named["delta_start"] = delta_start
-        # query() runs under the store's connection lock; executing on the
-        # raw connection here would bypass the one-thread-in-SQLite
-        # invariant (reprolint: lock-discipline).
         rows = store.query(self.sql, named, family="trigger-join")
         for row in rows:
             mapping = {

@@ -79,7 +79,5 @@ class SqliteShapeFinder(InDatabaseShapeFinder):
 
     def _shape_exists(self, relation: object, shape: Shape, relaxed: bool) -> bool:
         sql = shape_query_sqlite(shape, relaxed=relaxed)
-        # query() runs under the store's connection lock, so shape probes
-        # are safe against concurrent chase writers on the same store.
         (exists,) = self._store.query(sql, family="shape-probe")[0]
         return bool(exists)

@@ -40,25 +40,21 @@ Design notes
   parallel executor's round-0 scans filter rows inside the database rather
   than decoding every atom in Python first.
 
-Connection lifecycle: one connection per store, created with
-``check_same_thread=False``.  A store-level ``RLock`` keeps one thread
-inside SQLite at a time — the ``sqlite3`` module's own serialization is
-not deadlock-safe once the Python ``repro_partition`` function is
-registered (the UDF callback needs the GIL while SQLite holds the
-connection mutex; another thread holding the GIL can enter SQLite's
-statement-finalize paths and block on that mutex).  With the lock, the
-thread pool of the parallel chase may share a store; process pools never
-share — each worker opens its own replica (an in-memory rebuild from the
-streamed seed, or a :class:`SqliteOverlayStore` attaching a persistent
-file read-only), because connections are not picklable — which is exactly
-why the parallel executor ships *work*, never stores.
+Connection lifecycle: one connection per store, bound to the thread that
+created it (``sqlite3``'s default ``check_same_thread=True``): touching a
+store from any other thread raises :class:`sqlite3.ProgrammingError` at
+once.  Nothing in the chase shares a store across threads: the serial
+pool runs its workers on the coordinator's own thread, and each process
+worker opens its own replica (an in-memory rebuild from the streamed
+seed, or a :class:`SqliteOverlayStore` attaching a persistent file
+read-only), because connections are not picklable — which is exactly why
+the parallel executor ships *work*, never stores.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
-import threading
 from typing import (
     Collection,
     Dict,
@@ -147,25 +143,13 @@ class SqliteAtomStore:
         self.name = name
         self.path = path
         try:
-            self._connection = sqlite3.connect(
-                path, check_same_thread=False, isolation_level=None, uri=uri
-            )
+            self._connection = sqlite3.connect(path, isolation_level=None, uri=uri)
         except sqlite3.Error as error:
             raise StorageError(
                 f"cannot open sqlite database at {path!r}: {error}"
             ) from None
         self._closed = False
         self._in_transaction = False
-        # One thread inside SQLite at a time.  The sqlite3 module's own
-        # serialization is NOT enough once a Python-defined SQL function is
-        # registered: a thread executing `repro_partition` holds the
-        # connection mutex and needs the GIL for the callback, while another
-        # thread holding the GIL can enter SQLite C code (statement
-        # finalize/reset paths run without releasing the GIL) and block on
-        # that same mutex — a lock-order inversion that intermittently
-        # deadlocked parallel-chase thread pools sharing one store.  The
-        # RLock also guards the check-then-BEGIN/commit pair.
-        self._connection_lock = threading.RLock()
         self._connection.create_function(
             "repro_partition", -1, _partition_udf, deterministic=True
         )
@@ -225,48 +209,43 @@ class SqliteAtomStore:
         """The underlying connection — a *setup-time* escape hatch only.
 
         UDF registration (``repro_skolem``) and pragma tuning need the raw
-        connection before the store is shared across threads.  Runtime
-        statement execution must go through :meth:`query` /
-        :meth:`bulk_apply`, which serialize on the connection lock.
+        connection.  Runtime statement execution goes through :meth:`query`
+        / :meth:`bulk_apply`, which keep the row counts and statement
+        metrics in step.
         """
-        # reprolint: disable=lock-discipline -- setup-time escape hatch: UDF registration and pragmas run before the store is shared across threads; every runtime read/write goes through query()/bulk_apply(), which lock
         return self._connection
 
     def _load_catalog(self) -> None:
-        with self._connection_lock:
-            rows = self._connection.execute(
-                f"SELECT name, arity FROM {CATALOG_TABLE} ORDER BY name"
-            ).fetchall()
-            for predicate_name, arity in rows:
-                predicate = Predicate(predicate_name, arity)
-                self._predicates[predicate_name] = predicate
-                table = _quote(table_name(predicate_name))
-                count, top = self._connection.execute(
-                    f"SELECT COUNT(*), COALESCE(MAX(seq), 0) FROM {table}"
-                ).fetchone()
-                self._counts[predicate_name] = count
-                self._seq = max(self._seq, top)
+        rows = self._connection.execute(
+            f"SELECT name, arity FROM {CATALOG_TABLE} ORDER BY name"
+        ).fetchall()
+        for predicate_name, arity in rows:
+            predicate = Predicate(predicate_name, arity)
+            self._predicates[predicate_name] = predicate
+            table = _quote(table_name(predicate_name))
+            count, top = self._connection.execute(
+                f"SELECT COUNT(*), COALESCE(MAX(seq), 0) FROM {table}"
+            ).fetchone()
+            self._counts[predicate_name] = count
+            self._seq = max(self._seq, top)
 
     def _begin(self) -> None:
-        with self._connection_lock:
-            if not self._in_transaction:
-                self._connection.execute("BEGIN")
-                self._in_transaction = True
+        if not self._in_transaction:
+            self._connection.execute("BEGIN")
+            self._in_transaction = True
 
     def flush(self) -> None:
         """Commit the open write transaction (durability point for files)."""
-        with self._connection_lock:
-            if self._in_transaction:
-                self._connection.commit()
-                self._in_transaction = False
+        if self._in_transaction:
+            self._connection.commit()
+            self._in_transaction = False
 
     def close(self) -> None:
         """Commit and close the connection; the store is unusable afterwards."""
         if self._closed:
             return
         self.flush()
-        with self._connection_lock:
-            self._connection.close()
+        self._connection.close()
         self._closed = True
 
     def __enter__(self) -> "SqliteAtomStore":
@@ -288,8 +267,7 @@ class SqliteAtomStore:
         if not self.is_persistent:
             return 0
         self.flush()
-        with self._connection_lock:
-            self._connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        self._connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         return os.path.getsize(self.path) if os.path.exists(self.path) else 0
 
     def current_seq(self) -> int:
@@ -355,24 +333,20 @@ class SqliteAtomStore:
         parameters: Union[Sequence[object], Mapping[str, object]] = (),
         family: Optional[str] = None,
     ) -> List[Tuple]:
-        """Run one read statement under the connection lock; fetch all rows.
+        """Run one read statement; fetch all rows.
 
         The entry point for compiled pushdown reads (trigger-witness
-        enumeration, ``EXPLAIN QUERY PLAN`` introspection): callers never
-        touch the connection directly, so the one-thread-in-SQLite
-        invariant of the store holds for them too.  *family* names the
+        enumeration, ``EXPLAIN QUERY PLAN`` introspection).  *family* names the
         compiled statement family for the attached metrics (ignored when
         detached).
         """
         metrics = self._statement_metrics
         if metrics is not None and family is not None:
             started = metrics.start()
-            with self._connection_lock:
-                rows = self._connection.execute(sql, parameters).fetchall()
+            rows = self._connection.execute(sql, parameters).fetchall()
             metrics.record(family, started, rows_read=len(rows))
             return rows
-        with self._connection_lock:
-            return self._connection.execute(sql, parameters).fetchall()
+        return self._connection.execute(sql, parameters).fetchall()
 
     def bulk_apply(
         self,
@@ -395,27 +369,26 @@ class SqliteAtomStore:
         metrics = self._statement_metrics
         if metrics is not None and family is not None:
             started = metrics.start()
-            changed = self._bulk_apply_locked(sql, parameters, predicate)
+            changed = self._execute_write(sql, parameters, predicate)
             metrics.record(family, started, rows_changed=changed)
             return changed
-        return self._bulk_apply_locked(sql, parameters, predicate)
+        return self._execute_write(sql, parameters, predicate)
 
-    def _bulk_apply_locked(
+    def _execute_write(
         self,
         sql: str,
         parameters: Union[Sequence[object], Mapping[str, object]],
         predicate: Optional[Predicate],
     ) -> int:
-        with self._connection_lock:
-            self._begin()
-            before = self._connection.total_changes
-            self._connection.execute(sql, parameters)
-            changed = self._connection.total_changes - before
-            if predicate is not None and changed > 0:
-                self._counts[predicate.name] = (
-                    self._counts.get(predicate.name, 0) + changed
-                )
-            return changed
+        self._begin()
+        before = self._connection.total_changes
+        self._connection.execute(sql, parameters)
+        changed = self._connection.total_changes - before
+        if predicate is not None and changed > 0:
+            self._counts[predicate.name] = (
+                self._counts.get(predicate.name, 0) + changed
+            )
+        return changed
 
     # ------------------------------------------------------------------ #
     # Schema management
@@ -443,26 +416,25 @@ class SqliteAtomStore:
         column_ddl = ", ".join(f"{column} TEXT NOT NULL" for column in columns)
         unique = ", ".join(columns)
         table = table_name(predicate.name)
-        with self._connection_lock:
-            self._begin()
-            self._connection.execute(
-                f"CREATE TABLE IF NOT EXISTS {_quote(table)} "
-                f"({column_ddl}, seq INTEGER NOT NULL, UNIQUE({unique}))"
-            )
-            # The semi-naive delta queries constrain the seed slot with
-            # `seq > :delta_start`; without this index every delta round
-            # would rescan the whole seed table instead of just the delta
-            # suffix.
-            self._connection.execute(
-                f"CREATE INDEX IF NOT EXISTS {_quote(f'idx_{table}_seq')} "
-                f"ON {_quote(table)} (seq)"
-            )
-            self._connection.execute(
-                f"INSERT OR IGNORE INTO {CATALOG_TABLE} (name, arity) VALUES (?, ?)",
-                (predicate.name, predicate.arity),
-            )
-            self._predicates[predicate.name] = predicate
-            self._counts[predicate.name] = 0
+        self._begin()
+        self._connection.execute(
+            f"CREATE TABLE IF NOT EXISTS {_quote(table)} "
+            f"({column_ddl}, seq INTEGER NOT NULL, UNIQUE({unique}))"
+        )
+        # The semi-naive delta queries constrain the seed slot with
+        # `seq > :delta_start`; without this index every delta round
+        # would rescan the whole seed table instead of just the delta
+        # suffix.
+        self._connection.execute(
+            f"CREATE INDEX IF NOT EXISTS {_quote(f'idx_{table}_seq')} "
+            f"ON {_quote(table)} (seq)"
+        )
+        self._connection.execute(
+            f"INSERT OR IGNORE INTO {CATALOG_TABLE} (name, arity) VALUES (?, ?)",
+            (predicate.name, predicate.arity),
+        )
+        self._predicates[predicate.name] = predicate
+        self._counts[predicate.name] = 0
 
     def _table_for(self, predicate: Predicate) -> Optional[str]:
         """Return the quoted table name when *predicate* matches the catalog."""
@@ -489,12 +461,11 @@ class SqliteAtomStore:
         # namespace is case-insensitive too.
         index = _quote(f"idx_{table_name(predicate.name)}_p{position}")
         table = _quote(table_name(predicate.name))
-        with self._connection_lock:
-            self._begin()
-            self._connection.execute(
-                f"CREATE INDEX IF NOT EXISTS {index} ON {table} (c{position})"
-            )
-            self._indexed.add((predicate.name, position))
+        self._begin()
+        self._connection.execute(
+            f"CREATE INDEX IF NOT EXISTS {index} ON {table} (c{position})"
+        )
+        self._indexed.add((predicate.name, position))
 
     # ------------------------------------------------------------------ #
     # Row encoding
@@ -522,18 +493,17 @@ class SqliteAtomStore:
         table = _quote(table_name(atom.predicate.name))
         columns = self._columns(atom.predicate.arity)
         placeholders = ", ".join("?" for _ in columns)
-        with self._connection_lock:
-            self._begin()
-            cursor = self._connection.execute(
-                f"INSERT OR IGNORE INTO {table} ({', '.join(columns)}, seq) "
-                f"VALUES ({placeholders}, ?)",
-                self._encode(atom) + (self._seq + 1,),
-            )
-            if cursor.rowcount != 1:
-                return False
-            self._seq += 1
-            self._counts[atom.predicate.name] += 1
-            return True
+        self._begin()
+        cursor = self._connection.execute(
+            f"INSERT OR IGNORE INTO {table} ({', '.join(columns)}, seq) "
+            f"VALUES ({placeholders}, ?)",
+            self._encode(atom) + (self._seq + 1,),
+        )
+        if cursor.rowcount != 1:
+            return False
+        self._seq += 1
+        self._counts[atom.predicate.name] += 1
+        return True
 
     def add_atoms(self, atoms: Iterable[Atom]) -> int:
         """Bulk-insert *atoms* (batched per predicate); return how many were new.
@@ -567,20 +537,19 @@ class SqliteAtomStore:
             batch = []
             return inserted
 
-        with self._connection_lock:
-            self._begin()
-            for atom in atoms:
-                if not atom.is_ground():
-                    raise ValidationError(
-                        f"stores hold ground atoms only, got {atom!r}"
-                    )
-                if batch_predicate is None or atom.predicate != batch_predicate:
-                    added += flush_batch()
-                    batch_predicate = atom.predicate
-                    self.create_relation(atom.predicate)
-                self._seq += 1
-                batch.append(self._encode(atom) + (self._seq,))
-            added += flush_batch()
+        self._begin()
+        for atom in atoms:
+            if not atom.is_ground():
+                raise ValidationError(
+                    f"stores hold ground atoms only, got {atom!r}"
+                )
+            if batch_predicate is None or atom.predicate != batch_predicate:
+                added += flush_batch()
+                batch_predicate = atom.predicate
+                self.create_relation(atom.predicate)
+            self._seq += 1
+            batch.append(self._encode(atom) + (self._seq,))
+        added += flush_batch()
         return added
 
     def load_database(self, database: Database) -> int:
@@ -597,10 +566,9 @@ class SqliteAtomStore:
             return False
         columns = self._columns(atom.predicate.arity)
         where = " AND ".join(f"{column} = ?" for column in columns)
-        with self._connection_lock:
-            row = self._connection.execute(
-                f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", self._encode(atom)
-            ).fetchone()
+        row = self._connection.execute(
+            f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", self._encode(atom)
+        ).fetchone()
         return row is not None
 
     def iter_atoms(self) -> Iterator[Atom]:
@@ -619,10 +587,9 @@ class SqliteAtomStore:
         if table is None:
             return ()
         columns = self._columns(predicate.arity)
-        with self._connection_lock:
-            rows = self._connection.execute(
-                f"SELECT {', '.join(columns)} FROM {table}"
-            ).fetchall()
+        rows = self._connection.execute(
+            f"SELECT {', '.join(columns)} FROM {table}"
+        ).fetchall()
         return [self._decode(predicate, row) for row in rows]
 
     def atoms_matching(
@@ -650,12 +617,11 @@ class SqliteAtomStore:
             self._ensure_position_index(predicate, position)
             conditions.append(f"c{position} = ?")
             parameters.append(encode_term(bindings[position]))
-        with self._connection_lock:
-            rows = self._connection.execute(
-                f"SELECT {', '.join(columns)} FROM {table} "
-                f"WHERE {' AND '.join(conditions)}",
-                parameters,
-            ).fetchall()
+        rows = self._connection.execute(
+            f"SELECT {', '.join(columns)} FROM {table} "
+            f"WHERE {' AND '.join(conditions)}",
+            parameters,
+        ).fetchall()
         return [self._decode(predicate, row) for row in rows]
 
     def atoms_partition(
@@ -676,10 +642,9 @@ class SqliteAtomStore:
             return
         columns = self._columns(predicate.arity)
         if n_partitions <= 1:
-            with self._connection_lock:
-                rows = self._connection.execute(
-                    f"SELECT {', '.join(columns)} FROM {table}"
-                ).fetchall()
+            rows = self._connection.execute(
+                f"SELECT {', '.join(columns)} FROM {table}"
+            ).fetchall()
         else:
             if key_positions:
                 key_columns = ", ".join(f"c{position}" for position in key_positions)
@@ -688,12 +653,11 @@ class SqliteAtomStore:
             else:
                 key_columns = ", ".join(columns)
             hash_args = f"?, {key_columns}" if key_columns else "?"
-            with self._connection_lock:
-                rows = self._connection.execute(
-                    f"SELECT {', '.join(columns)} FROM {table} "
-                    f"WHERE repro_partition({hash_args}) = ?",
-                    (n_partitions, partition_index),
-                ).fetchall()
+            rows = self._connection.execute(
+                f"SELECT {', '.join(columns)} FROM {table} "
+                f"WHERE repro_partition({hash_args}) = ?",
+                (n_partitions, partition_index),
+            ).fetchall()
         for row in rows:
             yield self._decode(predicate, row)
 
@@ -817,24 +781,23 @@ class SqliteOverlayStore(SqliteAtomStore):
         column_ddl = ", ".join(f"{column} TEXT NOT NULL" for column in columns)
         unique = ", ".join(columns)
         table = table_name(predicate.name)
-        with self._connection_lock:
-            self._begin()
-            self._connection.execute(
-                f"CREATE TABLE IF NOT EXISTS main.{_quote(table)} "
-                f"({column_ddl}, seq INTEGER NOT NULL, UNIQUE({unique}))"
-            )
-            self._connection.execute(
-                f"CREATE INDEX IF NOT EXISTS main.{_quote(f'idx_{table}_seq')} "
-                f"ON {_quote(table)} (seq)"
-            )
-            self._connection.execute(
-                f"INSERT OR IGNORE INTO main.{CATALOG_TABLE} (name, arity) "
-                "VALUES (?, ?)",
-                (predicate.name, predicate.arity),
-            )
-            self._predicates[predicate.name] = predicate
-            self._counts.setdefault(predicate.name, 0)
-            self._main_relations.add(predicate.name)
+        self._begin()
+        self._connection.execute(
+            f"CREATE TABLE IF NOT EXISTS main.{_quote(table)} "
+            f"({column_ddl}, seq INTEGER NOT NULL, UNIQUE({unique}))"
+        )
+        self._connection.execute(
+            f"CREATE INDEX IF NOT EXISTS main.{_quote(f'idx_{table}_seq')} "
+            f"ON {_quote(table)} (seq)"
+        )
+        self._connection.execute(
+            f"INSERT OR IGNORE INTO main.{CATALOG_TABLE} (name, arity) "
+            "VALUES (?, ?)",
+            (predicate.name, predicate.arity),
+        )
+        self._predicates[predicate.name] = predicate
+        self._counts.setdefault(predicate.name, 0)
+        self._main_relations.add(predicate.name)
 
     def _ensure_position_index(self, predicate: Predicate, position: int) -> None:
         # Only the main-side delta table can be indexed; the base file keeps
@@ -847,13 +810,12 @@ class SqliteOverlayStore(SqliteAtomStore):
             return
         table = table_name(predicate.name)
         index = _quote(f"idx_{table}_p{position}")
-        with self._connection_lock:
-            self._begin()
-            self._connection.execute(
-                f"CREATE INDEX IF NOT EXISTS main.{index} "
-                f"ON {_quote(table)} (c{position})"
-            )
-            self._indexed.add((predicate.name, position))
+        self._begin()
+        self._connection.execute(
+            f"CREATE INDEX IF NOT EXISTS main.{index} "
+            f"ON {_quote(table)} (c{position})"
+        )
+        self._indexed.add((predicate.name, position))
 
     # ------------------------------------------------------------------ #
     # Compiled-statement entry points (two-schema variants)
@@ -926,11 +888,10 @@ class SqliteOverlayStore(SqliteAtomStore):
         table = f"base.{_quote(table_name(atom.predicate.name))}"
         columns = self._columns(atom.predicate.arity)
         where = " AND ".join(f"{column} = ?" for column in columns)
-        with self._connection_lock:
-            row = self._connection.execute(
-                f"SELECT 1 FROM {table} WHERE {where} AND seq <= ? LIMIT 1",
-                self._encode(atom) + (self._base_snapshot_seq,),
-            ).fetchone()
+        row = self._connection.execute(
+            f"SELECT 1 FROM {table} WHERE {where} AND seq <= ? LIMIT 1",
+            self._encode(atom) + (self._base_snapshot_seq,),
+        ).fetchone()
         return row is not None
 
     # ------------------------------------------------------------------ #
@@ -960,10 +921,9 @@ class SqliteOverlayStore(SqliteAtomStore):
             where = " AND ".join(f"{column} = ?" for column in columns)
             if extra:
                 where = f"{where} AND {extra}"
-            with self._connection_lock:
-                row = self._connection.execute(
-                    f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", values + params
-                ).fetchone()
+            row = self._connection.execute(
+                f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", values + params
+            ).fetchone()
             if row is not None:
                 return True
         return False
@@ -975,8 +935,7 @@ class SqliteOverlayStore(SqliteAtomStore):
             sql = f"SELECT {columns} FROM {table}"
             if extra:
                 sql = f"{sql} WHERE {extra}"
-            with self._connection_lock:
-                rows = self._connection.execute(sql, params).fetchall()
+            rows = self._connection.execute(sql, params).fetchall()
             atoms.extend(self._decode(predicate, row) for row in rows)
         return atoms
 
@@ -999,11 +958,10 @@ class SqliteOverlayStore(SqliteAtomStore):
             where = " AND ".join(conditions)
             if extra:
                 where = f"{where} AND {extra}"
-            with self._connection_lock:
-                rows = self._connection.execute(
-                    f"SELECT {columns} FROM {table} WHERE {where}",
-                    tuple(parameters) + params,
-                ).fetchall()
+            rows = self._connection.execute(
+                f"SELECT {columns} FROM {table} WHERE {where}",
+                tuple(parameters) + params,
+            ).fetchall()
             atoms.extend(self._decode(predicate, row) for row in rows)
         return atoms
 
@@ -1028,16 +986,14 @@ class SqliteOverlayStore(SqliteAtomStore):
                 sql = f"SELECT {columns} FROM {table}"
                 if extra:
                     sql = f"{sql} WHERE {extra}"
-                with self._connection_lock:
-                    rows = self._connection.execute(sql, params).fetchall()
+                rows = self._connection.execute(sql, params).fetchall()
             else:
                 where = f"repro_partition({hash_args}) = ?"
                 if extra:
                     where = f"{where} AND {extra}"
-                with self._connection_lock:
-                    rows = self._connection.execute(
-                        f"SELECT {columns} FROM {table} WHERE {where}",
-                        (n_partitions, partition_index) + params,
-                    ).fetchall()
+                rows = self._connection.execute(
+                    f"SELECT {columns} FROM {table} WHERE {where}",
+                    (n_partitions, partition_index) + params,
+                ).fetchall()
             for row in rows:
                 yield self._decode(predicate, row)

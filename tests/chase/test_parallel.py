@@ -40,7 +40,7 @@ class TestDeterminism:
         database = scenario.store.to_database()
         limits = ChaseLimits(max_atoms=5_000, max_rounds=30)
         expected = _fingerprint(chase(database, scenario.tgds, limits=limits))
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             result = parallel_chase(
                 database, scenario.tgds, workers=2, limits=limits, executor=executor
             )
@@ -149,7 +149,19 @@ class TestApiSurface:
             parallel_chase(database, tgds, variant="bogus")
         with pytest.raises(ValueError):
             ParallelChaseExecutor(on_limit="bogus")
-        assert set(EXECUTORS) == {"auto", "serial", "thread", "process"}
+        assert EXECUTORS == ("auto", "serial", "process")
+
+    def test_thread_executor_is_rejected_naming_the_valid_ones(self):
+        database, tgds = random_case(0)
+        with pytest.raises(ValueError) as excinfo:
+            parallel_chase(database, tgds, workers=2, executor="thread")
+        message = str(excinfo.value)
+        assert "'thread'" in message
+        for executor in EXECUTORS:
+            assert repr(executor) in message
+
+    def test_auto_runs_instance_stores_in_process(self):
+        assert ParallelChaseExecutor(workers=2)._resolve_executor(Instance()) == "serial"
 
     def test_auto_picks_processes_for_relational_stores(self):
         executor = ParallelChaseExecutor(workers=2)

@@ -78,7 +78,7 @@ class TestEngineConformance:
         for workers, executor in (
             (1, "serial"),
             (3, "serial"),
-            (2, "thread"),
+            (2, "serial"),
             (2, "process"),  # replicas, pipes, and pickling per example
         ):
             result = parallel_chase(
@@ -123,7 +123,7 @@ class TestEngineConformance:
             workers=3,
             limits=LIMITS,
             backend="relational",
-            executor="thread",
+            executor="serial",
         )
         assert fingerprint(parallel) == expected, "relational parallel != instance"
         assert parallel.store.atom_count() == len(parallel.instance)
@@ -163,7 +163,7 @@ class TestEngineConformance:
         )
         assert fingerprint(pushed) == expected, "sqlite sql strategy != instance"
 
-        for workers, executor in ((2, "serial"), (3, "thread"), (2, "process")):
+        for workers, executor in ((2, "serial"), (3, "serial"), (2, "process")):
             # materialize=False across worker counts: the lazy result must
             # stay byte-identical to the eager serial instance too.
             parallel = parallel_chase(
@@ -217,7 +217,7 @@ class TestEngineConformance:
         )
         assert_lazy_matches(lazy, expected, "sql-pushdown lazy")
 
-        for workers, executor in ((2, "serial"), (3, "thread"), (2, "process")):
+        for workers, executor in ((2, "serial"), (3, "serial"), (2, "process")):
             parallel = parallel_chase(
                 database,
                 tgds,
@@ -252,7 +252,7 @@ class TestEngineConformance:
         assert fingerprint(coordinator) == expected, "coordinator != serial"
 
         # in-memory pools across the worker-count grid
-        for workers, executor in ((1, "serial"), (2, "thread"), (4, "serial")):
+        for workers, executor in ((1, "serial"), (2, "serial"), (4, "serial")):
             shuffled = parallel_chase(
                 database,
                 tgds,
@@ -343,7 +343,7 @@ class TestTracingTransparency:
                     variant=variant,
                     workers=2,
                     limits=LIMITS,
-                    executor="thread",
+                    executor="serial",
                     tracer=tracer,
                 ),
             ),
@@ -355,7 +355,7 @@ class TestTracingTransparency:
                     variant=variant,
                     workers=2,
                     limits=LIMITS,
-                    executor="thread",
+                    executor="serial",
                     exchange="shuffle",
                     tracer=tracer,
                 ),

@@ -7,6 +7,8 @@ pushed-down ``FindShapes``, and the backend-spec parsing the CLI leans on.
 """
 
 import os
+import sqlite3
+import threading
 
 import pytest
 
@@ -256,17 +258,18 @@ class TestSqlTriggerStrategy:
     def test_parallel_chase_on_sqlite_backend(self):
         database, tgds = _program()
         expected = fingerprint(chase(database, tgds))
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             result = parallel_chase(
                 database, tgds, workers=2, backend="sqlite", executor=executor
             )
             assert fingerprint(result) == expected, executor
             assert isinstance(result.store, SqliteAtomStore)
 
-    def test_thread_pool_over_a_committed_store(self, tmp_path):
-        # A reopened (fully committed) store enters the thread pool with no
-        # transaction open, so the worker threads' first lazy-index writes
-        # race through _begin — the connection lock must serialise them.
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    def test_parallel_chase_resumes_from_a_committed_store(self, tmp_path, executor):
+        # A reopened (fully committed) store enters the pool with no
+        # transaction open: the shared-store workers' first lazy-index
+        # writes must open one, and process replicas attach the file as is.
         from repro.core.instances import Database
 
         database, tgds = _program()
@@ -276,10 +279,34 @@ class TestSqlTriggerStrategy:
             store.flush()
         reopened = SqliteAtomStore(path=path)
         result = parallel_chase(
-            Database(), tgds, workers=4, store=reopened, executor="thread"
+            Database(), tgds, workers=4, store=reopened, executor=executor
         )
         assert fingerprint(result) == expected
         reopened.close()
+
+    def test_store_used_from_another_thread_raises_instead_of_hanging(self):
+        # The connection is bound to its creating thread, so a second
+        # thread fails loudly at its first statement — it can never reach
+        # the GIL/SQLite-mutex cycle that a shared connection risked with
+        # the repro_partition UDF registered.
+        database, _ = _program()
+        store = SqliteAtomStore.from_database(database)
+        predicate = next(iter(store.predicates()))
+        errors = []
+
+        def scan():
+            try:
+                list(store.atoms_partition(predicate, (0,), 2, 0))
+            except sqlite3.ProgrammingError as error:
+                errors.append(error)
+
+        worker = threading.Thread(target=scan, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "cross-thread store use hung"
+        assert len(errors) == 1
+        assert store.atom_count() == len(database)
+        store.close()
 
 
 class TestSqliteShapeFinder:

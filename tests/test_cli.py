@@ -193,6 +193,15 @@ class TestChaseCommand:
         ) == 0
         assert "[indexed/instance/4w]" in capsys.readouterr().out
 
+    def test_chase_rejects_the_thread_executor(self, join_rule_file, capsys):
+        argv = ["chase", "--rules", str(join_rule_file), "--parallel", "2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--executor", "thread"])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage:")
+        assert "invalid choice: 'thread'" in stderr
+
     def test_chase_invalid_parallel(self, join_rule_file, capsys):
         assert main(["chase", "--rules", str(join_rule_file), "--parallel", "0"]) == 2
         assert "--parallel" in capsys.readouterr().err

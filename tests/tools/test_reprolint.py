@@ -1,10 +1,9 @@
 """Fixture-based self-tests for the reprolint framework and its checkers.
 
 Every rule gets mutation-style coverage: a snippet re-introducing the class
-of bug the rule exists for (the PR 5 unlocked connection access, an
-unsorted set iteration on a result path, a lambda through a pool submit, an
-unescaped identifier interpolation) must turn the lint red, and the
-disciplined twin of each snippet must stay green.  The framework's waiver
+of bug the rule exists for (an unsorted set iteration on a result path, a
+lambda through a pool submit, an unescaped identifier interpolation) must
+turn the lint red, and the disciplined twin of each snippet must stay green.  The framework's waiver
 contract — justification mandatory, stale waivers flagged — is pinned here
 too, because the whole CI gate leans on it.
 """
@@ -16,8 +15,6 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from tools.reprolint import run_lint
 from tools.reprolint.checkers import ALL_CHECKERS
@@ -103,116 +100,6 @@ class TestWaivers:
         )
         assert report.ok
         assert len(report.waived) == 1
-
-
-# --------------------------------------------------------------------------- #
-# lock-discipline
-
-
-class TestLockDiscipline:
-    def test_unlocked_connection_read_turns_the_lint_red(self, tmp_path):
-        # The PR 5 mutation: a public method touching the connection
-        # without the lock.
-        report = lint_snippet(
-            tmp_path,
-            "storage/sqlbackend/store.py",
-            """
-            class SqliteAtomStore:
-                def __init__(self):
-                    self._connection_lock = object()
-                    self._connection = object()
-
-                def atom_count(self):
-                    return self._connection.execute("SELECT 1").fetchone()
-            """,
-        )
-        assert rules_of(report) == ["lock-discipline"]
-
-    def test_locked_access_passes(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "storage/sqlbackend/store.py",
-            """
-            class SqliteAtomStore:
-                def __init__(self):
-                    self._connection_lock = object()
-                    self._connection = object()
-
-                def atom_count(self):
-                    with self._connection_lock:
-                        return self._connection.execute("SELECT 1").fetchone()
-            """,
-        )
-        assert report.ok
-
-    def test_private_helper_reached_only_under_the_lock_passes(self, tmp_path):
-        # The intra-class call-graph case: the helper itself is unlocked,
-        # but its every call site holds the lock.
-        report = lint_snippet(
-            tmp_path,
-            "storage/sqlbackend/store.py",
-            """
-            class SqliteAtomStore:
-                def _run(self, sql):
-                    return self._connection.execute(sql)
-
-                def query(self, sql):
-                    with self._connection_lock:
-                        return self._run(sql)
-            """,
-        )
-        assert report.ok
-
-    def test_private_helper_reached_from_an_unlocked_caller_is_flagged(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "storage/sqlbackend/store.py",
-            """
-            class SqliteAtomStore:
-                def _run(self, sql):
-                    return self._connection.execute(sql)
-
-                def query(self, sql):
-                    with self._connection_lock:
-                        return self._run(sql)
-
-                def sneaky(self, sql):
-                    return self._run(sql)
-            """,
-        )
-        assert rules_of(report) == ["lock-discipline"]
-
-    def test_nested_function_called_inside_the_lock_passes(self, tmp_path):
-        # The real add_atoms shape: a nested flush helper touching the
-        # connection, invoked only within the locked region.
-        report = lint_snippet(
-            tmp_path,
-            "storage/sqlbackend/store.py",
-            """
-            class SqliteAtomStore:
-                def add_atoms(self, rows):
-                    def flush_batch(batch):
-                        self._connection.executemany("INSERT", batch)
-
-                    with self._connection_lock:
-                        flush_batch(rows)
-            """,
-        )
-        assert report.ok
-
-    def test_init_is_allowlisted(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "storage/sqlbackend/store.py",
-            """
-            class SqliteAtomStore:
-                def __init__(self):
-                    self._connection_lock = object()
-                    self._connection = connect()
-                    self._connection.execute("PRAGMA journal_mode=WAL")
-            """,
-        )
-        assert report.ok
 
 
 # --------------------------------------------------------------------------- #
@@ -601,8 +488,8 @@ class TestCli:
         result = self.run_cli("src/repro", "--list-waivers")
         assert result.returncode == 0
         assert "waiver(s)" in result.stdout
-        # The three designed waivers of this tree: the connection property
-        # escape hatch and the two order-insensitive trigger enumerations.
-        assert "storage/sqlbackend/store.py" in result.stdout
+        # The designed result-path waivers of this tree: the two
+        # order-insensitive trigger enumerations, and none in the stores.
+        assert "storage/sqlbackend/store.py" not in result.stdout
         assert "chase/matching.py" in result.stdout
         assert "chase/triggers.py" in result.stdout
