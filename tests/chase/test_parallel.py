@@ -163,6 +163,33 @@ class TestApiSurface:
     def test_auto_runs_instance_stores_in_process(self):
         assert ParallelChaseExecutor(workers=2)._resolve_executor(Instance()) == "serial"
 
+    @pytest.mark.parametrize(
+        "store_kind, workers, requested, expected",
+        [
+            ("instance", 4, "auto", "serial"),
+            ("relational", 1, "auto", "serial"),
+            ("sqlite", 1, "auto", "serial"),
+            ("sqlite", 2, "auto", "process"),
+            ("instance", 2, "process", "process"),
+            ("sqlite", 2, "serial", "serial"),
+        ],
+    )
+    def test_executor_resolution(self, store_kind, workers, requested, expected):
+        # auto: processes only pay off for the replica-backed relational and
+        # sqlite stores with more than one worker; an explicit choice is kept.
+        from repro.storage.sqlbackend import SqliteAtomStore
+
+        stores = {
+            "instance": Instance,
+            "relational": lambda: RelationalDatabase(name="t"),
+            "sqlite": SqliteAtomStore,
+        }
+        store = stores[store_kind]()
+        executor = ParallelChaseExecutor(workers=workers, executor=requested)
+        assert executor._resolve_executor(store) == expected
+        if store_kind == "sqlite":
+            store.close()
+
     def test_auto_picks_processes_for_relational_stores(self):
         executor = ParallelChaseExecutor(workers=2)
         database = parse_database("R(a,b).")

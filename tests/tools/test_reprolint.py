@@ -476,6 +476,14 @@ class TestCli:
         result = self.run_cli("src/repro", "--rules", "no-such-rule")
         assert result.returncode == 2
 
+    def test_registry_holds_the_three_static_rules(self):
+        # The lock-discipline rule went with the SQLite connection lock; a
+        # request for it is an unknown rule, not a silently empty run.
+        names = [checker.name for checker in ALL_CHECKERS]
+        assert names == ["determinism", "process-boundary", "sql-identifier"]
+        result = self.run_cli("src/repro", "--rules", "lock-discipline")
+        assert result.returncode == 2
+
     def test_syntax_error_is_a_usage_error(self, tmp_path):
         broken = tmp_path / "chase" / "broken.py"
         broken.parent.mkdir(parents=True)
